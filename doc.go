@@ -74,13 +74,14 @@
 // cached across commits, narrows its label and baseline columns to bytes
 // when the alphabet allows (eight examples compared per word via a
 // zero-byte SWAR mask), reveals labels through one batched oracle call
-// per commit (labeling.BatchOracle, testset.RevealAll/RevealWhere)
-// instead of n round trips, and reuses its prediction buffers — so a
-// steady-state commit evaluation allocates nothing and runs an order of
-// magnitude faster than the element-wise pipeline (BenchmarkCommitEval:
-// ~16x at n=1e5). The element-wise path survives behind
-// engine.Options.ScalarEval as the equivalence oracle, property-tested to
-// produce bit-identical verdicts. Engine.Evaluate exposes the measurement
+// per look (labeling.BatchOracle, testset.RevealFirst/RevealChunk)
+// instead of one round trip per label, and reuses its prediction buffers
+// — so a steady-state commit evaluation allocates nothing and runs an
+// order of magnitude faster than the element-wise pipeline
+// (BenchmarkCommitEval: ~16x at n=1e5). Production builds carry this one
+// evaluator; the element-wise pipeline survives only as a test-only
+// oracle in internal/engine, property-tested to produce bit-identical
+// verdicts. Engine.Evaluate exposes the measurement
 // as a dry run ("what would this commit's verdict be?") without spending
 // budget or history, and the server reports commits_evaluated and
 // commit_eval_ns_total in /api/v1/metrics so served evaluation latency is
@@ -114,7 +115,9 @@
 // easeml-ci views, and look decisions journaled in the WAL so durable
 // replay reproduces the exact label charges. engine.EarlyDecision
 // (ci.EarlyDecision, the server's -no-early-exit/-sequential-delta
-// flags) disables or tunes the loop.
+// flags) disables or tunes the loop; disabled, the same loop runs the
+// one-look schedule — the static plan's full reveal in a single chunk,
+// the paper ablation cmd/experiments reports as "static".
 //
 // # Durability
 //
@@ -175,7 +178,8 @@
 // durable replay reproduces the refusals). GET /api/v1/metrics reports
 // the shared caches once plus scheduler and per-project counters;
 // /api/v1/projects/{id}/metrics is the single-tenant view, and the admin
-// endpoints (reset-caches, compact) take an optional ?project= scope.
+// endpoints (reset-caches, compact, backup) take an optional ?project=
+// scope, which /api/v1/projects/{id}/admin/... spells as a path.
 // Shutdown closes in dependency order — intake stops everywhere, the pool
 // drains every accepted job, then tenants and finally the control log
 // close — so a commit racing shutdown is either fully journaled or never

@@ -33,6 +33,57 @@ func chaosSleep(c *chaosTime) func(time.Duration) { return c.advance }
 
 const chaosMaxAttempts = 3
 
+// chaosCondition is the fully-labeled condition every sequential variant
+// runs; chaosActiveCondition is a Pattern 1 condition for the one-look
+// active variant, whose labels arrive one disagreement set per commit.
+const (
+	chaosCondition       = "n > 0.6 +/- 0.1"
+	chaosActiveCondition = "d < 0.9 +/- 0.3 /\\ n - o > -0.5 +/- 0.45"
+)
+
+// chaosVariant is one evaluator configuration the suite proves the
+// guarantee for: the packed sequential default, the scalar oracle, and
+// the one-look schedule (early decision disabled, the paper ablation) on
+// both plan kinds.
+type chaosVariant struct {
+	name    string
+	cond    string
+	scalar  bool
+	oneLook bool
+	// minCalls is the provider round trips the fault-free run must make
+	// for the scenario to be interesting: a sequential run spreads its
+	// reveals over several looks, a one-look fully-labeled run pays every
+	// label in its first commit's single batch.
+	minCalls int
+}
+
+var (
+	chaosPacked        = chaosVariant{name: "packed", cond: chaosCondition, minCalls: 3}
+	chaosScalar        = chaosVariant{name: "scalar", cond: chaosCondition, scalar: true, minCalls: 3}
+	chaosOneLook       = chaosVariant{name: "one-look", cond: chaosCondition, oneLook: true, minCalls: 1}
+	chaosOneLookActive = chaosVariant{name: "one-look-active", cond: chaosActiveCondition, oneLook: true, minCalls: 3}
+	chaosVariants      = []chaosVariant{chaosPacked, chaosScalar, chaosOneLook, chaosOneLookActive}
+)
+
+// newChaosEngine builds the variant's engine over ds behind oracle.
+func newChaosEngine(t *testing.T, v chaosVariant, ds *data.Dataset, oracle labeling.Oracle) *Engine {
+	t.Helper()
+	cfg := mustConfig(t, v.cond, 0.99, interval.FPFree,
+		script.Adaptivity{Kind: script.AdaptivityFull}, 3)
+	eng, err := New(cfg, ds, oracle, Options{
+		InitialModel:  simModel(t, "h0", ds, 0.5, 1),
+		Notifier:      notify.Discard{},
+		EarlyDecision: EarlyDecision{Disable: v.oneLook},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.scalar {
+		useScalarOracle(eng)
+	}
+	return eng
+}
+
 // chaosRig is one engine wired through Resilient(FaultOracle(truth)).
 type chaosRig struct {
 	eng    *Engine
@@ -41,11 +92,9 @@ type chaosRig struct {
 	ds     *data.Dataset
 }
 
-func newChaosRig(t *testing.T, scalar bool, schedule []labeling.Fault) *chaosRig {
+func newChaosRig(t *testing.T, v chaosVariant, schedule []labeling.Fault) *chaosRig {
 	t.Helper()
 	ds := indexDataset(600, 4)
-	cfg := mustConfig(t, "n > 0.6 +/- 0.1", 0.99, interval.FPFree,
-		script.Adaptivity{Kind: script.AdaptivityFull}, 3)
 	clock := newChaosTime()
 	faults := labeling.NewFaultOracle(labeling.NewTruthOracle(ds.Y), schedule, clock.advance)
 	oracle := labeling.NewResilient(faults, labeling.ResilientOptions{
@@ -56,15 +105,7 @@ func newChaosRig(t *testing.T, scalar bool, schedule []labeling.Fault) *chaosRig
 		Sleep:       chaosSleep(clock),
 		Jitter:      zeroJitter,
 	})
-	eng, err := New(cfg, ds, oracle, Options{
-		InitialModel: simModel(t, "h0", ds, 0.5, 1),
-		Notifier:     notify.Discard{},
-		ScalarEval:   scalar,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &chaosRig{eng: eng, faults: faults, clock: clock, ds: ds}
+	return &chaosRig{eng: newChaosEngine(t, v, ds, oracle), faults: faults, clock: clock, ds: ds}
 }
 
 // commitUntilAccepted re-submits a commit for as long as the resilient
@@ -95,9 +136,9 @@ func (r *chaosRig) commitUntilAccepted(t *testing.T, name string, acc float64, s
 }
 
 // runChaosScenario pushes the fixed three-commit traffic through the rig.
-func runChaosScenario(t *testing.T, scalar bool, schedule []labeling.Fault) *chaosRig {
+func runChaosScenario(t *testing.T, v chaosVariant, schedule []labeling.Fault) *chaosRig {
 	t.Helper()
-	r := newChaosRig(t, scalar, schedule)
+	r := newChaosRig(t, v, schedule)
 	r.commitUntilAccepted(t, "m1", 0.9, 2)
 	r.commitUntilAccepted(t, "m2", 0.55, 3)
 	r.commitUntilAccepted(t, "m3", 0.92, 4)
@@ -134,19 +175,10 @@ func fingerprint(t *testing.T, e *Engine) string {
 // baseline runs the scenario with a direct in-process truth oracle — no
 // remote client at all — and returns its fingerprint plus the number of
 // provider round trips the fault-free remote run needs.
-func chaosBaseline(t *testing.T, scalar bool) (string, int) {
+func chaosBaseline(t *testing.T, v chaosVariant) (string, int) {
 	t.Helper()
 	ds := indexDataset(600, 4)
-	cfg := mustConfig(t, "n > 0.6 +/- 0.1", 0.99, interval.FPFree,
-		script.Adaptivity{Kind: script.AdaptivityFull}, 3)
-	eng, err := New(cfg, ds, labeling.NewTruthOracle(ds.Y), Options{
-		InitialModel: simModel(t, "h0", ds, 0.5, 1),
-		Notifier:     notify.Discard{},
-		ScalarEval:   scalar,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := newChaosEngine(t, v, ds, labeling.NewTruthOracle(ds.Y))
 	for i, c := range []struct {
 		name string
 		acc  float64
@@ -158,7 +190,7 @@ func chaosBaseline(t *testing.T, scalar bool) (string, int) {
 	}
 	want := fingerprint(t, eng)
 
-	remote := runChaosScenario(t, scalar, nil)
+	remote := runChaosScenario(t, v, nil)
 	if got := fingerprint(t, remote.eng); got != want {
 		t.Fatalf("fault-free remote run diverged from the direct oracle:\n got %s\nwant %s", got, want)
 	}
@@ -166,20 +198,16 @@ func chaosBaseline(t *testing.T, scalar bool) (string, int) {
 }
 
 func TestChaosSingleTransientFaultAnywhere(t *testing.T) {
-	for _, scalar := range []bool{false, true} {
-		name := "packed"
-		if scalar {
-			name = "scalar"
-		}
-		t.Run(name, func(t *testing.T) {
-			want, calls := chaosBaseline(t, scalar)
-			if calls < 3 {
+	for _, v := range chaosVariants {
+		t.Run(v.name, func(t *testing.T) {
+			want, calls := chaosBaseline(t, v)
+			if calls < v.minCalls {
 				t.Fatalf("scenario too small to be interesting: %d provider calls", calls)
 			}
 			for k := 0; k < calls; k++ {
 				schedule := make([]labeling.Fault, k, k+1)
 				schedule = append(schedule, labeling.Fault{Fail: true, Latency: 5 * time.Millisecond})
-				r := runChaosScenario(t, scalar, schedule)
+				r := runChaosScenario(t, v, schedule)
 				if got := fingerprint(t, r.eng); got != want {
 					t.Fatalf("transient fault at call %d diverged:\n got %s\nwant %s", k, got, want)
 				}
@@ -193,19 +221,15 @@ func TestChaosOutageBurstAnywhere(t *testing.T) {
 	// ErrUnavailable from Commit (the park trigger). The rollback plus
 	// re-submit must reconverge to the byte-identical state, at every
 	// possible call position — look boundaries and mid-batch included.
-	for _, scalar := range []bool{false, true} {
-		name := "packed"
-		if scalar {
-			name = "scalar"
-		}
-		t.Run(name, func(t *testing.T) {
-			want, calls := chaosBaseline(t, scalar)
+	for _, v := range chaosVariants {
+		t.Run(v.name, func(t *testing.T) {
+			want, calls := chaosBaseline(t, v)
 			for k := 0; k < calls; k++ {
 				schedule := make([]labeling.Fault, k, k+chaosMaxAttempts)
 				for i := 0; i < chaosMaxAttempts; i++ {
 					schedule = append(schedule, labeling.Fault{Fail: true})
 				}
-				r := runChaosScenario(t, scalar, schedule)
+				r := runChaosScenario(t, v, schedule)
 				if got := fingerprint(t, r.eng); got != want {
 					t.Fatalf("outage burst at call %d diverged:\n got %s\nwant %s", k, got, want)
 				}
@@ -215,22 +239,26 @@ func TestChaosOutageBurstAnywhere(t *testing.T) {
 }
 
 func TestChaosPartialAnswersAnywhere(t *testing.T) {
-	want, calls := chaosBaseline(t, false)
-	for k := 0; k < calls; k++ {
-		schedule := make([]labeling.Fault, k, k+2)
-		schedule = append(schedule,
-			labeling.Fault{Partial: 1},                    // one label, budget resets
-			labeling.Fault{Partial: labeling.PartialNone}, // empty 200, budget spent
-		)
-		r := runChaosScenario(t, false, schedule)
-		if got := fingerprint(t, r.eng); got != want {
-			t.Fatalf("partial answers at call %d diverged:\n got %s\nwant %s", k, got, want)
-		}
+	for _, v := range []chaosVariant{chaosPacked, chaosOneLook, chaosOneLookActive} {
+		t.Run(v.name, func(t *testing.T) {
+			want, calls := chaosBaseline(t, v)
+			for k := 0; k < calls; k++ {
+				schedule := make([]labeling.Fault, k, k+2)
+				schedule = append(schedule,
+					labeling.Fault{Partial: 1},                    // one label, budget resets
+					labeling.Fault{Partial: labeling.PartialNone}, // empty 200, budget spent
+				)
+				r := runChaosScenario(t, v, schedule)
+				if got := fingerprint(t, r.eng); got != want {
+					t.Fatalf("partial answers at call %d diverged:\n got %s\nwant %s", k, got, want)
+				}
+			}
+		})
 	}
 }
 
 func TestChaosNastyMixedSchedule(t *testing.T) {
-	want, _ := chaosBaseline(t, false)
+	want, _ := chaosBaseline(t, chaosPacked)
 	schedule := []labeling.Fault{
 		{Fail: true, RetryIn: 2 * time.Second, HasRetryIn: true},
 		{Partial: 2, Latency: 30 * time.Millisecond},
@@ -242,7 +270,7 @@ func TestChaosNastyMixedSchedule(t *testing.T) {
 		{Partial: 3},
 		{Fail: true, RetryIn: 500 * time.Millisecond, HasRetryIn: true},
 	}
-	r := runChaosScenario(t, false, schedule)
+	r := runChaosScenario(t, chaosPacked, schedule)
 	if got := fingerprint(t, r.eng); got != want {
 		t.Fatalf("mixed schedule diverged:\n got %s\nwant %s", got, want)
 	}
@@ -254,12 +282,12 @@ func TestChaosNastyMixedSchedule(t *testing.T) {
 func TestChaosSnapshotRestoreWhileUnavailable(t *testing.T) {
 	// Crash while a commit is stuck on an outage (the parked state),
 	// restore, and finish against a recovered provider: byte-identical.
-	want, _ := chaosBaseline(t, false)
+	want, _ := chaosBaseline(t, chaosPacked)
 	ds := indexDataset(600, 4)
-	cfg := mustConfig(t, "n > 0.6 +/- 0.1", 0.99, interval.FPFree,
+	cfg := mustConfig(t, chaosCondition, 0.99, interval.FPFree,
 		script.Adaptivity{Kind: script.AdaptivityFull}, 3)
 
-	rig := newChaosRig(t, false, nil)
+	rig := newChaosRig(t, chaosPacked, nil)
 	rig.commitUntilAccepted(t, "m1", 0.9, 2)
 
 	// m2 hits an outage and gives up — this is the moment the server
@@ -321,7 +349,7 @@ func TestChaosSnapshotRestoreWhileUnavailable(t *testing.T) {
 func TestChaosNoDoubleChargeAcrossRetries(t *testing.T) {
 	// The ledger must never bill a label twice even when the evaluation
 	// is torn down and re-run: compare total charges against fault-free.
-	want, calls := chaosBaseline(t, false)
+	want, calls := chaosBaseline(t, chaosPacked)
 	var wantTotal int
 	{
 		var fp struct{ Total int }
@@ -342,7 +370,7 @@ func TestChaosNoDoubleChargeAcrossRetries(t *testing.T) {
 	for i := 0; i < chaosMaxAttempts; i++ {
 		schedule = append(schedule, labeling.Fault{Fail: true})
 	}
-	r := runChaosScenario(t, false, schedule)
+	r := runChaosScenario(t, chaosPacked, schedule)
 	if got := r.eng.LabelCost().Total(); got != wantTotal {
 		t.Fatalf("label charges diverged under faults: %d, want %d", got, wantTotal)
 	}

@@ -186,7 +186,6 @@ func Restore(cfg *script.Config, st State, opts Options) (*Engine, error) {
 		costs:       labeling.RestoreLedger(st.Charges),
 		notifier:    notifier,
 		repo:        repo,
-		scalarEval:  opts.ScalarEval,
 		compiled:    compiled,
 		early:       opts.EarlyDecision.withDefaults(),
 		estVals:     make(map[condlang.Var]float64, 3),

@@ -21,17 +21,19 @@ import (
 // that stays borderline falls through to the full reveal, so the worst
 // case is identical to the static plan.
 //
-// The decision functions below are shared verbatim by the packed and the
-// scalar evaluation paths: both feed them the same integer counts, so
-// their look decisions — and therefore the label charges a durable log
-// replays — are bit-identical.
+// The decision functions below are shared verbatim by the packed
+// evaluator and the test-only scalar oracle: both feed them the same
+// integer counts, so their look decisions — and therefore the label
+// charges a durable log replays — are bit-identical.
 
 // EarlyDecision configures the sequential evaluation loop. The zero value
 // is the production default: the deterministic no-regret early exit on a
 // 64-doubling look schedule, no probabilistic bound.
 type EarlyDecision struct {
-	// Disable reverts to the one-shot static reveal (the pre-sequential
-	// behavior); the equivalence suites use it as the baseline oracle.
+	// Disable selects the one-look schedule, the paper ablation: the same
+	// sequential loop reveals the static plan's full target in a single
+	// chunk with no forced-verdict check, so results carry no looks or
+	// savings and no look decision is journaled.
 	Disable bool
 	// FirstLook is the first look's cumulative reveal target; 0 means
 	// planner.DefaultFirstLook.
@@ -270,11 +272,11 @@ func finishPartialFull(truth interval.Truth, c lookCounts, fresh, looks, startUn
 	return ev
 }
 
-// activeStaticCost is the label cost the one-shot reveal would pay for
-// this commit: the unrevealed disagreements, unless a definitively failed
-// label-free clause precedes the n-o clause (then the one-shot path
-// short-circuits too and pays nothing). Early-exit savings are measured
-// against this, so they never overstate.
+// activeStaticCost is the label cost the one-look schedule pays for this
+// commit: the unrevealed disagreements, unless a definitively failed
+// label-free clause precedes the n-o clause (then the one-look schedule
+// reveals nothing). Early-exit savings are measured against this, so
+// they never overstate.
 func (e *Engine) activeStaticCost(dHat float64, unrevealedDis int) int {
 	truth := interval.True
 	for i := range e.compiled.Clauses {

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"github.com/easeml/ci/internal/condlang"
 	"github.com/easeml/ci/internal/interval"
 	"github.com/easeml/ci/internal/labeling"
 	"github.com/easeml/ci/internal/model"
@@ -45,7 +46,6 @@ func engineQuartet(t *testing.T, cond string, rel float64, steps int, labels, h0
 		ds := fixedDataset(labels, classes)
 		eng, err := New(cfg, ds, labeling.NewTruthOracle(ds.Y), Options{
 			InitialModel: h0,
-			ScalarEval:   scalarEval,
 			EarlyDecision: EarlyDecision{
 				Disable:         disable,
 				SequentialDelta: seqDelta,
@@ -53,6 +53,9 @@ func engineQuartet(t *testing.T, cond string, rel float64, steps int, labels, h0
 		})
 		if err != nil {
 			t.Fatalf("New(disable=%v scalar=%v): %v", disable, scalarEval, err)
+		}
+		if scalarEval {
+			useScalarOracle(eng)
 		}
 		return eng
 	}
@@ -330,6 +333,99 @@ func TestLedgerConservation(t *testing.T) {
 				t.Fatal(err)
 			}
 			check(t, restored)
+		})
+	}
+}
+
+// batchCounter is a truth oracle that counts its batch round trips.
+type batchCounter struct {
+	truth *labeling.TruthOracle
+	calls int
+}
+
+func (b *batchCounter) Label(i int) (int, error) { return b.truth.Label(i) }
+
+func (b *batchCounter) LabelBatch(idx []int) ([]int, error) {
+	b.calls++
+	return b.truth.LabelBatch(idx)
+}
+
+// TestOneLookRevealsInOneBatch pins the disabled-mode schedule: a commit
+// that pays labels pays all of them in a single oracle round trip (every
+// unrevealed label, or every unrevealed disagreement), one whose
+// label-free clause already failed pays none, and no look is reported.
+func TestOneLookRevealsInOneBatch(t *testing.T) {
+	scenarios := []struct {
+		name string
+		cond string
+		rel  float64
+		n    int
+		// dFail, when positive, is the d above which the label-free
+		// clause is definitively False.
+		dFail float64
+	}{
+		{"baseline", "n > 0.6 +/- 0.1", 0.99, 600, 0},
+		{"active", "d < 0.9 +/- 0.3 /\\ n - o > -0.5 +/- 0.45", 0.6, 640, 0},
+		{"active-d-fails", "d < 0.3 +/- 0.05 /\\ n - o > -0.5 +/- 0.45", 0.6, 640, 0.35},
+	}
+	const classes = 4
+	for _, sc := range scenarios {
+		t.Run(sc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(83))
+			labels := make([]int, sc.n)
+			for i := range labels {
+				labels[i] = rng.Intn(classes)
+			}
+			h0, err := model.SimulatedPredictions(labels, classes, 0.75, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ds := fixedDataset(labels, classes)
+			oracle := &batchCounter{truth: labeling.NewTruthOracle(ds.Y)}
+			cfg := mustConfig(t, sc.cond, sc.rel, interval.FPFree,
+				script.Adaptivity{Kind: script.AdaptivityFull}, 4)
+			eng, err := New(cfg, ds, oracle, Options{
+				InitialModel:  model.NewFixedPredictions("h0", h0),
+				EarlyDecision: EarlyDecision{Disable: true},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			paid, dFailed := 0, 0
+			for commit, acc := range []float64{0.9, 0.3, 0.92, 0.95} {
+				preds, err := model.SimulatedPredictions(labels, classes, acc, rng.Int63())
+				if err != nil {
+					t.Fatal(err)
+				}
+				before := oracle.calls
+				res, err := eng.Commit(model.NewFixedPredictions(fmt.Sprintf("m%d", commit), preds), "dev", "x")
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantCalls := 0
+				if res.FreshLabels > 0 {
+					wantCalls = 1
+				}
+				if got := oracle.calls - before; got != wantCalls {
+					t.Fatalf("commit %d: %d oracle round trips for %d fresh labels, want %d", commit, got, res.FreshLabels, wantCalls)
+				}
+				if res.Looks != 0 || res.EarlyExit || res.LabelsSaved != 0 {
+					t.Fatalf("commit %d: one-look result reports early-exit fields: %+v", commit, res)
+				}
+				if sc.dFail > 0 && res.Estimates[condlang.VarD] > sc.dFail {
+					dFailed++
+					if res.FreshLabels != 0 || res.Pass {
+						t.Fatalf("commit %d: failed d-clause still paid %d labels: %+v", commit, res.FreshLabels, res)
+					}
+				}
+				paid += res.FreshLabels
+			}
+			if sc.dFail > 0 && dFailed == 0 {
+				t.Fatal("no commit failed the d-clause")
+			}
+			if paid == 0 || (sc.name == "baseline" && paid != sc.n) {
+				t.Fatalf("one-look run paid %d labels over a %d-example testset", paid, sc.n)
+			}
 		})
 	}
 }

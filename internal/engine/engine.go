@@ -73,10 +73,10 @@ type Engine struct {
 	notifier    notify.Notifier
 	repo        *repository.Store
 
-	// scalarEval routes measurement through the element-wise reference
-	// implementation instead of the packed bitmap core; see
-	// Options.ScalarEval.
-	scalarEval bool
+	// referenceEval, when set, replaces the packed measurement in
+	// evaluateModel. It is nil in production; the equivalence suites set
+	// it to drive an engine through the element-wise scalar oracle.
+	referenceEval func(newPreds []int) (Evaluation, error)
 	// compiled is the script condition with every clause pre-linearized,
 	// so per-commit evaluation does not re-derive (and re-allocate) the
 	// linear forms.
@@ -135,12 +135,6 @@ type Options struct {
 	// Notifier receives third-party results and alarms; defaults to an
 	// in-memory outbox when nil.
 	Notifier notify.Notifier
-	// ScalarEval forces the element-wise scalar measurement path (per-
-	// example label reveals, int-slice walks) instead of the packed
-	// bitmap core. The scalar path is the equivalence oracle and ablation
-	// baseline — same role the retired grid search plays for the
-	// worst-case sweep; production engines leave this false.
-	ScalarEval bool
 	// EarlyDecision tunes (or disables) the sequential early-exit
 	// evaluation loop; the zero value is the production default.
 	EarlyDecision EarlyDecision
@@ -197,7 +191,6 @@ func New(cfg *script.Config, first *data.Dataset, oracle labeling.Oracle, opts O
 		costs:       &labeling.Ledger{},
 		notifier:    notifier,
 		repo:        repository.NewStore(),
-		scalarEval:  opts.ScalarEval,
 		compiled:    compiled,
 		early:       opts.EarlyDecision.withDefaults(),
 		estVals:     make(map[condlang.Var]float64, 3),

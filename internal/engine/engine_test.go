@@ -26,7 +26,7 @@ func indexDataset(n, classes int) *data.Dataset {
 	return ds
 }
 
-func mustConfig(t *testing.T, cond string, rel float64, mode interval.Mode, a script.Adaptivity, steps int) *script.Config {
+func mustConfig(t testing.TB, cond string, rel float64, mode interval.Mode, a script.Adaptivity, steps int) *script.Config {
 	t.Helper()
 	cfg, err := script.New(cond, rel, mode, a, steps)
 	if err != nil {
@@ -35,7 +35,7 @@ func mustConfig(t *testing.T, cond string, rel float64, mode interval.Mode, a sc
 	return cfg
 }
 
-func simModel(t *testing.T, name string, ds *data.Dataset, acc float64, seed int64) *model.FixedPredictions {
+func simModel(t testing.TB, name string, ds *data.Dataset, acc float64, seed int64) *model.FixedPredictions {
 	t.Helper()
 	preds, err := model.SimulatedPredictions(ds.Y, ds.Classes, acc, seed)
 	if err != nil {

@@ -15,7 +15,7 @@ import (
 )
 
 // The packed bitmap measurement core must be observationally identical to
-// the element-wise scalar reference it replaced (Options.ScalarEval).
+// the element-wise scalar reference it replaced (scalar_oracle_test.go).
 // These tests drive engine pairs — one packed, one scalar — through
 // identical commit sequences and assert the full Result streams match:
 // estimates, three-valued truths, verdicts, promotion, label accounting,
@@ -32,10 +32,12 @@ func enginePair(t *testing.T, cond string, rel float64, steps int, ds, h0Preds [
 	for _, scalarEval := range []bool{false, true} {
 		eng, err := New(cfg, dataset, labeling.NewTruthOracle(dataset.Y), Options{
 			InitialModel: h0,
-			ScalarEval:   scalarEval,
 		})
 		if err != nil {
 			t.Fatalf("New(scalar=%v): %v", scalarEval, err)
+		}
+		if scalarEval {
+			useScalarOracle(eng)
 		}
 		engines = append(engines, eng)
 	}

@@ -43,7 +43,13 @@ import (
 //	POST /api/v1/admin/reset-caches       reset shared caches + counters
 //	                                      (?project= scopes to one tenant)
 //	POST /api/v1/admin/compact            compact all logs (?project=)
+//	POST /api/v1/admin/backup             back up all logs (?project=)
 //	*    /api/v1/<anything else>          alias for the default project
+//
+// The admin endpoints are control-plane code in every spelling:
+// /api/v1/projects/{id}/admin/<verb> runs the same Multi handler as
+// /api/v1/admin/<verb>?project={id}, so a scoped path takes the control
+// plane's locks and never clears the caches every tenant shares.
 type Multi struct {
 	dataDir     string
 	base        Options
@@ -588,12 +594,8 @@ func (m *Multi) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		m.handleProject(w, r, strings.TrimPrefix(path, projectsPath+"/"))
 	case path == "/api/v1/metrics":
 		m.handleMetrics(w, r)
-	case path == "/api/v1/admin/reset-caches":
-		m.handleAdminReset(w, r)
-	case path == "/api/v1/admin/compact":
-		m.handleAdminCompact(w, r)
-	case path == "/api/v1/admin/backup":
-		m.handleAdminBackup(w, r)
+	case adminRoutes[path] != nil:
+		adminRoutes[path](m, w, r)
 	case path == "/healthz":
 		m.handleHealthz(w, r)
 	case path == "/readyz":
@@ -609,6 +611,27 @@ func (m *Multi) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		def.ServeHTTP(w, r)
 	}
+}
+
+// adminRoutes are the control plane's project-aware admin handlers, by
+// unscoped path.
+var adminRoutes = map[string]func(*Multi, http.ResponseWriter, *http.Request){
+	"/api/v1/admin/reset-caches": (*Multi).handleAdminReset,
+	"/api/v1/admin/compact":      (*Multi).handleAdminCompact,
+	"/api/v1/admin/backup":       (*Multi).handleAdminBackup,
+}
+
+// withProjectScope returns a shallow copy of r whose ?project= parameter
+// names id, replacing any the caller sent.
+func withProjectScope(r *http.Request, id string) *http.Request {
+	u := *r.URL
+	q := u.Query()
+	q.Set("project", id)
+	u.RawQuery = q.Encode()
+	r2 := new(http.Request)
+	*r2 = *r
+	r2.URL = &u
+	return r2
 }
 
 func (m *Multi) handleProjects(w http.ResponseWriter, r *http.Request) {
@@ -727,7 +750,8 @@ func (m *Multi) handleCreateProject(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleProject dispatches /api/v1/projects/{id}[/...]: lifecycle verbs
-// handled here, everything else delegated to the tenant.
+// and the admin endpoints handled here, everything else delegated to the
+// tenant.
 func (m *Multi) handleProject(w http.ResponseWriter, r *http.Request, rest string) {
 	id, sub, _ := strings.Cut(rest, "/")
 	if id == "" {
@@ -751,6 +775,10 @@ func (m *Multi) handleProject(w http.ResponseWriter, r *http.Request, rest strin
 		}
 		m.handleProjectState(w, id, sub == "suspend")
 	default:
+		if h := adminRoutes["/api/v1/"+sub]; h != nil {
+			h(m, w, withProjectScope(r, id))
+			return
+		}
 		m.delegate(w, r, id, sub)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	"github.com/easeml/ci/internal/notify"
 	"github.com/easeml/ci/internal/planner"
 	"github.com/easeml/ci/internal/script"
+	"github.com/easeml/ci/internal/wal"
 )
 
 // doH is doJSON for any handler (Multi or Server).
@@ -434,6 +436,94 @@ func TestMultiAdminProjectAware(t *testing.T) {
 	defer m2.Close()
 	if rec := doH(t, m2, http.MethodPost, "/api/v1/admin/compact", nil); rec.Code != http.StatusConflict {
 		t.Fatalf("in-memory compact = %d", rec.Code)
+	}
+}
+
+// TestMultiScopedAdminPathsUseControlPlane: /api/v1/projects/{id}/admin/*
+// is the control plane's project-scoped admin code, not the tenant's own
+// handler. A scoped reset must leave the shared plan cache to the other
+// tenants, and both spellings answer alike: byte-identical resets and
+// refusals, the same compaction stats, the same backup tarball name.
+func TestMultiScopedAdminPathsUseControlPlane(t *testing.T) {
+	m := newTestMulti(t, MultiOptions{DataDir: t.TempDir()})
+	defer m.Close()
+	spec := testSpec(t, 3, testSize, 2)
+	if rec := doH(t, m, http.MethodPost, "/api/v1/projects", CreateProjectRequest{ID: "team-a", ProjectSpec: spec}); rec.Code != http.StatusCreated {
+		t.Fatal(rec.Body.String())
+	}
+	commit := CommitRequest{Model: "v1", Predictions: goodPredictions(t, testLabels(), 0.9, 3)}
+	if rec := doH(t, m, http.MethodPost, "/api/v1/projects/team-a/commit", commit); rec.Code != http.StatusOK {
+		t.Fatal(rec.Body.String())
+	}
+	if rec := doH(t, m, http.MethodGet, "/api/v1/projects/team-a/plan", nil); rec.Code != http.StatusOK {
+		t.Fatal(rec.Body.String())
+	}
+	entries := planner.Default.Stats().PlanEntries
+	if entries == 0 {
+		t.Fatal("plan query left the shared cache empty")
+	}
+
+	scoped := "/api/v1/projects/team-a/admin/reset-caches"
+	query := "/api/v1/admin/reset-caches?project=team-a"
+	rec := doH(t, m, http.MethodPost, scoped, nil)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("scoped reset = %d: %s", rec.Code, rec.Body.String())
+	}
+	var pre TenantMetrics
+	if err := json.Unmarshal(rec.Body.Bytes(), &pre); err != nil {
+		t.Fatal(err)
+	}
+	if pre.ID != "team-a" || pre.CommitsEvaluated != 1 {
+		t.Fatalf("scoped reset pre-state = %+v", pre)
+	}
+	if got := planner.Default.Stats().PlanEntries; got != entries {
+		t.Fatalf("scoped reset cleared the shared plan cache: %d -> %d entries", entries, got)
+	}
+	// Counters are zero now, so repeated resets answer the same state.
+	a := doH(t, m, http.MethodPost, query, nil)
+	b := doH(t, m, http.MethodPost, scoped, nil)
+	if a.Code != b.Code || !bytes.Equal(a.Body.Bytes(), b.Body.Bytes()) {
+		t.Fatalf("reset spellings diverge:\n%d %s\n%d %s", a.Code, a.Body.String(), b.Code, b.Body.String())
+	}
+
+	for _, verb := range []string{"reset-caches", "compact", "backup"} {
+		for _, c := range []struct {
+			method, scoped, query string
+		}{
+			{http.MethodPost, "/api/v1/projects/ghost/admin/" + verb, "/api/v1/admin/" + verb + "?project=ghost"},
+			{http.MethodGet, "/api/v1/projects/team-a/admin/" + verb, "/api/v1/admin/" + verb + "?project=team-a"},
+		} {
+			a := doH(t, m, c.method, c.query, nil)
+			b := doH(t, m, c.method, c.scoped, nil)
+			if a.Code == http.StatusOK || a.Code != b.Code || !bytes.Equal(a.Body.Bytes(), b.Body.Bytes()) {
+				t.Fatalf("%s %s vs %s:\n%d %s\n%d %s", c.method, c.query, c.scoped, a.Code, a.Body.String(), b.Code, b.Body.String())
+			}
+		}
+	}
+	// Compacting an unchanged log twice reports the same stats but for
+	// the compaction counter, whichever spelling ran it.
+	var comp [2]map[string]*wal.Stats
+	for i, path := range []string{"/api/v1/admin/compact?project=team-a", "/api/v1/projects/team-a/admin/compact"} {
+		rec := doH(t, m, http.MethodPost, path, nil)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("POST %s = %d: %s", path, rec.Code, rec.Body.String())
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &comp[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if comp[0]["team-a"] == nil || comp[1]["team-a"] == nil || comp[1]["team-a"].Compactions != comp[0]["team-a"].Compactions+1 {
+		t.Fatalf("compact spellings diverge: %+v vs %+v", comp[0], comp[1])
+	}
+	comp[1]["team-a"].Compactions = comp[0]["team-a"].Compactions
+	if !reflect.DeepEqual(comp[0], comp[1]) {
+		t.Fatalf("compact spellings diverge: %+v vs %+v", comp[0], comp[1])
+	}
+	// A scoped backup is the tenant's flat tarball either way.
+	a = doH(t, m, http.MethodPost, "/api/v1/admin/backup?project=team-a", nil)
+	b = doH(t, m, http.MethodPost, "/api/v1/projects/team-a/admin/backup", nil)
+	if a.Code != http.StatusOK || b.Code != http.StatusOK || a.Header().Get("Content-Disposition") != b.Header().Get("Content-Disposition") {
+		t.Fatalf("backup spellings diverge: %d %q vs %d %q", a.Code, a.Header().Get("Content-Disposition"), b.Code, b.Header().Get("Content-Disposition"))
 	}
 }
 

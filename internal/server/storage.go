@@ -212,12 +212,11 @@ func (m *Multi) handleAdminBackup(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "control plane is not durable (no data directory)")
 		return
 	}
-	id, srv, ok := m.scopedTenant(w, r)
+	_, srv, ok := m.scopedTenant(w, r)
 	if !ok {
 		return
 	}
 	if srv != nil {
-		_ = id
 		srv.handleAdminBackup(w, r)
 		return
 	}

@@ -105,48 +105,6 @@ func (t *Testset) Reveal(i int) (label int, fresh bool, err error) {
 // RevealedCount returns how many labels have been revealed so far.
 func (t *Testset) RevealedCount() int { return t.revealedCount }
 
-// RevealAll reveals every not-yet-revealed label through one bulk oracle
-// request, cross-checking each returned label against the ground truth,
-// and returns how many labels were freshly paid for. When everything is
-// already revealed it returns 0 without touching the oracle.
-func (t *Testset) RevealAll(o labeling.BatchOracle) (fresh int, err error) {
-	if t.revealedCount == t.Len() {
-		return 0, nil
-	}
-	missing := make([]int, 0, t.Len()-t.revealedCount)
-	for i := 0; i < t.Len(); i++ {
-		if !t.revealed.Get(i) {
-			missing = append(missing, i)
-		}
-	}
-	return t.revealBatch(missing, o)
-}
-
-// RevealWhere reveals the labels of the examples whose bit is set in want
-// and not yet revealed, through one bulk oracle request. It returns the
-// freshly revealed indices (nil when nothing new was needed), so callers
-// maintaining incremental per-example state know exactly which entries
-// changed.
-func (t *Testset) RevealWhere(want evaluator.Bitmap, o labeling.BatchOracle) ([]int, error) {
-	if want.Len() != t.Len() {
-		return nil, fmt.Errorf("testset: reveal bitmap covers %d examples, testset has %d", want.Len(), t.Len())
-	}
-	missing := evaluator.AndNotCount(want, t.revealed)
-	if missing == 0 {
-		return nil, nil
-	}
-	idx := make([]int, 0, missing)
-	for i := 0; i < t.Len(); i++ {
-		if want.Get(i) && !t.revealed.Get(i) {
-			idx = append(idx, i)
-		}
-	}
-	if _, err := t.revealBatch(idx, o); err != nil {
-		return nil, err
-	}
-	return idx, nil
-}
-
 // RevealFirst reveals up to limit not-yet-revealed labels in ascending
 // index order, through one bulk oracle request, and returns the freshly
 // revealed indices (nil when nothing was unrevealed). It is the prefix-
@@ -175,10 +133,13 @@ func (t *Testset) RevealFirst(limit int, o labeling.BatchOracle) ([]int, error) 
 	return idx, nil
 }
 
-// RevealChunk is RevealWhere bounded to the first limit unrevealed
-// examples of want, in ascending index order: the chunked form active
-// labeling reveals its disagreement set through. limit <= 0 means no
-// bound (== RevealWhere). Returns the freshly revealed indices.
+// RevealChunk reveals the first limit not-yet-revealed examples whose bit
+// is set in want, in ascending index order, through one bulk oracle
+// request: the chunked form active labeling reveals its disagreement set
+// through. limit <= 0 means no bound (the whole remaining mask). Returns
+// the freshly revealed indices (nil when nothing new was needed), so
+// callers maintaining incremental per-example state know exactly which
+// entries changed.
 func (t *Testset) RevealChunk(want evaluator.Bitmap, limit int, o labeling.BatchOracle) ([]int, error) {
 	if want.Len() != t.Len() {
 		return nil, fmt.Errorf("testset: reveal bitmap covers %d examples, testset has %d", want.Len(), t.Len())

@@ -133,33 +133,37 @@ func TestManagerErrors(t *testing.T) {
 	}
 }
 
+// TestRevealAllBatch: RevealFirst with a limit of the testset size is the
+// one-look fully-labeled reveal — every unrevealed label in one batch.
 func TestRevealAllBatch(t *testing.T) {
 	ds := dataset(t, 130, 1) // crosses two bitmap words
 	ts, _ := New(1, ds)
 	oracle := labeling.NewTruthOracle(ds.Y)
-	// Pre-reveal a couple so RevealAll mixes fresh and already-paid.
+	// Pre-reveal a couple so the reveal mixes fresh and already-paid.
 	ts.Reveal(3)
 	ts.Reveal(64)
-	fresh, err := ts.RevealAll(oracle)
+	idx, err := ts.RevealFirst(ts.Len(), oracle)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fresh != 128 {
-		t.Errorf("fresh = %d, want 128", fresh)
+	if len(idx) != 128 {
+		t.Errorf("fresh = %d, want 128", len(idx))
 	}
 	if ts.RevealedCount() != 130 {
 		t.Errorf("revealed = %d", ts.RevealedCount())
 	}
 	// Steady state: no oracle needed at all.
-	fresh, err = ts.RevealAll(nil)
-	if err != nil || fresh != 0 {
-		t.Errorf("steady-state RevealAll: fresh=%d err=%v", fresh, err)
+	idx, err = ts.RevealFirst(ts.Len(), nil)
+	if err != nil || idx != nil {
+		t.Errorf("steady-state full reveal: idx=%v err=%v", idx, err)
 	}
 	if got := ts.RevealedBitmap().Count(); got != 130 {
 		t.Errorf("revealed bitmap count = %d", got)
 	}
 }
 
+// TestRevealWhereBatch: RevealChunk with no limit is the one-look active
+// reveal — every unrevealed example of the mask in one batch.
 func TestRevealWhereBatch(t *testing.T) {
 	ds := dataset(t, 100, 2)
 	ts, _ := New(1, ds)
@@ -169,7 +173,7 @@ func TestRevealWhereBatch(t *testing.T) {
 		want.Set(i)
 	}
 	ts.Reveal(5) // already paid: must not be re-counted
-	idx, err := ts.RevealWhere(want, oracle)
+	idx, err := ts.RevealChunk(want, 0, oracle)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,12 +189,12 @@ func TestRevealWhereBatch(t *testing.T) {
 		t.Errorf("revealed = %d, want 5", ts.RevealedCount())
 	}
 	// Second call with the same mask: nothing fresh, no allocation path.
-	idx, err = ts.RevealWhere(want, nil)
+	idx, err = ts.RevealChunk(want, 0, nil)
 	if err != nil || idx != nil {
-		t.Errorf("steady-state RevealWhere: idx=%v err=%v", idx, err)
+		t.Errorf("steady-state unbounded chunk: idx=%v err=%v", idx, err)
 	}
 	// Mismatched bitmap length is rejected.
-	if _, err := ts.RevealWhere(evaluator.NewBitmap(99), oracle); err == nil {
+	if _, err := ts.RevealChunk(evaluator.NewBitmap(99), 0, oracle); err == nil {
 		t.Error("length mismatch should fail")
 	}
 }
@@ -229,15 +233,15 @@ func (o halfLyingOracle) LabelBatch(idx []int) ([]int, error) {
 func TestRevealBatchVerification(t *testing.T) {
 	ds := dataset(t, 10, 3)
 	ts, _ := New(1, ds)
-	if _, err := ts.RevealAll(lyingOracle{y: ds.Y}); err == nil {
+	if _, err := ts.RevealFirst(ts.Len(), lyingOracle{y: ds.Y}); err == nil {
 		t.Error("oracle/ground-truth mismatch must be detected")
 	}
 	ts2, _ := New(1, ds)
-	if _, err := ts2.RevealAll(shortOracle{}); err == nil {
+	if _, err := ts2.RevealFirst(ts2.Len(), shortOracle{}); err == nil {
 		t.Error("short oracle response must be detected")
 	}
 	ts3, _ := New(1, ds)
-	if _, err := ts3.RevealAll(nil); err == nil {
+	if _, err := ts3.RevealFirst(ts3.Len(), nil); err == nil {
 		t.Error("nil oracle with work to do must fail")
 	}
 }
@@ -248,7 +252,7 @@ func TestRevealBatchVerification(t *testing.T) {
 func TestRevealBatchAtomicOnMismatch(t *testing.T) {
 	ds := dataset(t, 10, 3)
 	ts, _ := New(1, ds)
-	if _, err := ts.RevealAll(halfLyingOracle{y: ds.Y}); err == nil {
+	if _, err := ts.RevealFirst(ts.Len(), halfLyingOracle{y: ds.Y}); err == nil {
 		t.Fatal("mid-batch mismatch must be detected")
 	}
 	if got := ts.RevealedCount(); got != 0 {
@@ -260,9 +264,9 @@ func TestRevealBatchAtomicOnMismatch(t *testing.T) {
 		}
 	}
 	// The verified-good prefix is re-revealable once the oracle is honest.
-	fresh, err := ts.RevealAll(labeling.NewTruthOracle(ds.Y))
-	if err != nil || fresh != 10 {
-		t.Fatalf("recovery reveal: fresh=%d err=%v", fresh, err)
+	idx, err := ts.RevealFirst(ts.Len(), labeling.NewTruthOracle(ds.Y))
+	if err != nil || len(idx) != 10 {
+		t.Fatalf("recovery reveal: fresh=%d err=%v", len(idx), err)
 	}
 }
 
@@ -353,8 +357,7 @@ func TestRevealChunk(t *testing.T) {
 	if _, err := ts.RevealChunk(evaluator.NewBitmap(99), 5, oracle); err == nil {
 		t.Error("length mismatch should fail")
 	}
-	// limit <= 0 means unbounded: the whole mask in one call, same as
-	// RevealWhere.
+	// limit <= 0 means unbounded: the whole mask in one call.
 	ts2, _ := New(1, ds)
 	idx, err = ts2.RevealChunk(want, 0, oracle)
 	if err != nil || len(idx) != 7 {
@@ -443,9 +446,9 @@ func TestRevealChunkAtomicOnOracleFailure(t *testing.T) {
 	}
 }
 
-// TestRevealWhereAtomicOnOracleFailure covers the unchunked batch path:
-// a mid-batch transport failure (not just a verification mismatch)
-// reveals nothing.
+// TestRevealWhereAtomicOnOracleFailure covers the unchunked batch path
+// (RevealChunk with no limit): a transport failure (not just a
+// verification mismatch) reveals nothing.
 func TestRevealWhereAtomicOnOracleFailure(t *testing.T) {
 	ds := dataset(t, 20, 9)
 	ts, _ := New(1, ds)
@@ -453,11 +456,11 @@ func TestRevealWhereAtomicOnOracleFailure(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		want.Set(i)
 	}
-	if _, err := ts.RevealWhere(want, &failingOracle{y: ds.Y, after: 0}); err == nil {
+	if _, err := ts.RevealChunk(want, 0, &failingOracle{y: ds.Y, after: 0}); err == nil {
 		t.Fatal("expected transport failure")
 	}
 	if ts.RevealedCount() != 0 {
-		t.Fatalf("failed RevealWhere revealed %d labels, want 0", ts.RevealedCount())
+		t.Fatalf("failed unbounded chunk revealed %d labels, want 0", ts.RevealedCount())
 	}
 }
 
