@@ -20,11 +20,12 @@ BENCH_OUT ?= BENCH_8.json
 # the write-ahead log (unsynced append, append+fsync — the durable commit
 # point — and 1000-record replay, the fixed crash-restart cost),
 # aggregate commit throughput across 8 projects of the multi-tenant
-# control plane (routing + quotas + weighted round-robin scheduling), and
-# the early-decision label-cost pair (median labels/commit on the
+# control plane (routing + quotas + weighted round-robin scheduling), the
+# commit intake of a 64,000-prediction body (scanner vs encoding/json),
+# and the early-decision label-cost pair (median labels/commit on the
 # non-borderline workload, early vs static — the metric tools/benchdiff
 # gates so the sequential evaluation's saving cannot silently erode).
-BENCH_PATTERN = BenchmarkBinomialCDF$$|BenchmarkExactWorstCaseSweep$$|BenchmarkExactWorstCaseGrid$$|BenchmarkAblationTightBinomial$$|BenchmarkAblationTightBinomialCold$$|BenchmarkExactColdProbesNormalSeed$$|BenchmarkExactColdProbesHoeffdingSeed$$|BenchmarkSampleSizeEstimator$$|BenchmarkPlanCacheHit$$|BenchmarkLRUContentionSingle$$|BenchmarkLRUContentionSharded$$|BenchmarkEngineCommit$$|BenchmarkCommitEval$$|BenchmarkCommitThroughput$$|BenchmarkEarlyExitLabelCost$$|BenchmarkWALAppend$$|BenchmarkWALAppendSync$$|BenchmarkWALReplay$$|BenchmarkMultiTenantThroughput$$
+BENCH_PATTERN = BenchmarkBinomialCDF$$|BenchmarkExactWorstCaseSweep$$|BenchmarkExactWorstCaseGrid$$|BenchmarkAblationTightBinomial$$|BenchmarkAblationTightBinomialCold$$|BenchmarkExactColdProbesNormalSeed$$|BenchmarkExactColdProbesHoeffdingSeed$$|BenchmarkSampleSizeEstimator$$|BenchmarkPlanCacheHit$$|BenchmarkLRUContentionSingle$$|BenchmarkLRUContentionSharded$$|BenchmarkEngineCommit$$|BenchmarkCommitEval$$|BenchmarkCommitThroughput$$|BenchmarkEarlyExitLabelCost$$|BenchmarkWALAppend$$|BenchmarkWALAppendSync$$|BenchmarkWALReplay$$|BenchmarkMultiTenantThroughput$$|BenchmarkCommitIntake$$
 
 .PHONY: all build test race vet bench benchdiff clean
 

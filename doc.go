@@ -64,6 +64,24 @@
 // server's /api/v1/admin/reset-caches for the operator-facing cache-reset
 // hook.
 //
+// # Commit intake
+//
+// A commit body carries one prediction per testset example, so at the
+// paper's practical testset sizes it is tens of thousands of integers.
+// The server reads the commit, async-commit and rotation bodies into a
+// buffer capped at 32 MiB (a larger body answers 400 "malformed JSON:
+// http: request body too large") and decodes their canonical shape —
+// exact lowercase keys, escape-free printable-ASCII strings, integer
+// arrays — with a small scanner instead of reflection. Anything unusual
+// (unknown or case-folded keys, duplicate keys, null, escapes,
+// non-ASCII, fractions, exponents, very long numbers) is decoded by
+// encoding/json, so every body decodes to the same value, and every
+// rejection carries the same error, as with encoding/json alone; a fuzz
+// target checks the two against each other. The write-ahead log's
+// submit and rotate records, which carry the same arrays, are appended
+// directly as the bytes json.Marshal would produce and replayed through
+// the same scanner.
+//
 // # Packed commit evaluation
 //
 // The per-commit measurement of {n, o, d} — the one O(n) pass a commit

@@ -195,12 +195,7 @@ func (s *Server) handleCommitAsync(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req AsyncCommitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "malformed JSON: "+err.Error())
-		return
-	}
-	if req.Model == "" {
-		writeError(w, http.StatusBadRequest, "model name required")
+	if !decodeIntake(w, r, &req, &req.Model) {
 		return
 	}
 	if req.Webhook != "" {

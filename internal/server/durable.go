@@ -432,7 +432,7 @@ func recoverDurable(cfg *script.Config, g Genesis, opts Options, snap *wal.Snaps
 			}
 		case recTypeSubmit:
 			var r recSubmit
-			if err := json.Unmarshal(rec.Data, &r); err != nil {
+			if err := decodeRecord(rec.Data, &r); err != nil {
 				return nil, fmt.Errorf("record %d (%s): %w", rec.Seq, rec.Type, err)
 			}
 			if _, dup := d.table[r.Job]; dup {
@@ -520,7 +520,7 @@ func recoverDurable(cfg *script.Config, g Genesis, opts Options, snap *wal.Snaps
 			}
 		case recTypeRotate:
 			var r recRotate
-			if err := json.Unmarshal(rec.Data, &r); err != nil {
+			if err := decodeRecord(rec.Data, &r); err != nil {
 				return nil, fmt.Errorf("record %d (%s): %w", rec.Seq, rec.Type, err)
 			}
 			classes := eng.Testsets().Current().Data.Classes
@@ -641,7 +641,12 @@ func (j walJournal) JournalLooks(looks, saved int, early bool) error {
 // server on failure. Callers hold tableMu (the append-side half of the
 // compaction freeze).
 func (s *Server) walAppendSyncLocked(typ string, payload any) error {
-	_, err := s.wlog.Append(typ, payload)
+	var err error
+	if data := appendRecord(payload); data != nil {
+		_, err = s.wlog.AppendEncoded(typ, data)
+	} else {
+		_, err = s.wlog.Append(typ, payload)
+	}
 	if err == nil {
 		err = s.wlog.Sync()
 	}

@@ -44,6 +44,17 @@
 // history; a burst of submissions is absorbed as queued jobs instead of
 // stacking callers on the engine lock.
 //
+// Commit, async-commit and rotation bodies are read into a buffer capped
+// at 32 MiB; a larger body answers 400 "malformed JSON: http: request
+// body too large", the text the batch-plan and project-create endpoints
+// give. The canonical body shape — exact lowercase keys, escape-free
+// printable-ASCII strings, integer arrays — is decoded by a small scanner
+// (intake.go) rather than by reflection; anything unusual is decoded by
+// encoding/json, so accepts, rejections and their error texts are those
+// of encoding/json. The WAL's submit and rotate records are appended
+// directly, byte-identical to json.Marshal, and replayed through the same
+// scanner.
+//
 // # Storage fault tolerance
 //
 // Durable state is guarded at three layers.
@@ -91,7 +102,6 @@ import (
 
 	"github.com/easeml/ci/internal/bounds"
 	"github.com/easeml/ci/internal/core"
-	"github.com/easeml/ci/internal/data"
 	"github.com/easeml/ci/internal/engine"
 	"github.com/easeml/ci/internal/labeling"
 	"github.com/easeml/ci/internal/model"
@@ -1129,12 +1139,7 @@ func (s *Server) handleCommit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req CommitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "malformed JSON: "+err.Error())
-		return
-	}
-	if req.Model == "" {
-		writeError(w, http.StatusBadRequest, "model name required")
+	if !decodeIntake(w, r, &req, &req.Model) {
 		return
 	}
 	// Submit kicks the shared scheduler itself (under the queue lock, via
@@ -1159,23 +1164,17 @@ func (s *Server) handleRotate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req RotateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "malformed JSON: "+err.Error())
+	if !decodeIntake(w, r, &req, nil) {
 		return
 	}
 	if len(req.Labels) == 0 || len(req.Labels) != len(req.ActivePredictions) {
 		writeError(w, http.StatusBadRequest, "labels and active_predictions must be non-empty and equal length")
 		return
 	}
-	classes := s.cfgClasses()
-	next := &data.Dataset{Name: "rotated", Classes: classes}
-	for i, y := range req.Labels {
-		if y < 0 || y >= classes {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("label %d out of range at %d", y, i))
-			return
-		}
-		next.X = append(next.X, []float64{float64(i)})
-		next.Y = append(next.Y, y)
+	next, err := datasetFromLabels("rotated", req.Labels, s.cfgClasses())
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -31,6 +31,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 )
 
@@ -276,25 +277,41 @@ func readSnapshot(fsys FS, path string) (*Snapshot, error) {
 	return &Snapshot{LastSeq: env.S, Data: env.D}, nil
 }
 
-// Append encodes one typed record, assigns it the next sequence number,
-// and writes it to the log. It does not fsync — callers group the records
-// of one logical transaction and call Sync once at its commit point.
+// Append encodes one typed record with json.Marshal and appends it as
+// AppendEncoded does.
 func (l *Log) Append(typ string, payload any) (uint64, error) {
 	data, err := json.Marshal(payload)
 	if err != nil {
 		return 0, fmt.Errorf("wal: encoding %s record: %w", typ, err)
 	}
+	return l.AppendEncoded(typ, data)
+}
+
+// AppendEncoded assigns one typed record, whose payload is already
+// encoded as a single JSON value, the next sequence number and writes it
+// to the log. It does not fsync — callers group the records of one
+// logical transaction and call Sync once at its commit point.
+func (l *Log) AppendEncoded(typ string, data []byte) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	seq := l.nextSeq + 1
-	line := fmt.Sprintf("{\"s\":%d,\"t\":%q,\"c\":%d,\"d\":%s}\n", seq, typ, crcOf(seq, typ, data), data)
+	line := make([]byte, 0, len(data)+len(typ)+48)
+	line = append(line, `{"s":`...)
+	line = strconv.AppendUint(line, seq, 10)
+	line = append(line, `,"t":`...)
+	line = strconv.AppendQuote(line, typ)
+	line = append(line, `,"c":`...)
+	line = strconv.AppendUint(line, uint64(crcOf(seq, typ, data)), 10)
+	line = append(line, `,"d":`...)
+	line = append(line, data...)
+	line = append(line, "}\n"...)
 	if l.opts.WriteHook != nil {
-		if err := l.opts.WriteHook([]byte(line)); err != nil {
+		if err := l.opts.WriteHook(line); err != nil {
 			l.stats.AppendErrors++
 			return 0, fmt.Errorf("wal: appending %s record: %w", typ, err)
 		}
 	}
-	n, err := l.f.Write([]byte(line))
+	n, err := l.f.Write(line)
 	if err != nil {
 		l.stats.AppendErrors++
 		if n > 0 {
