@@ -22,10 +22,12 @@ BENCH_OUT ?= BENCH_8.json
 # aggregate commit throughput across 8 projects of the multi-tenant
 # control plane (routing + quotas + weighted round-robin scheduling), the
 # commit intake of a 64,000-prediction body (scanner vs encoding/json),
+# a 64,000-label testset rotation through the rotate handler (B/op and
+# allocs/op show the label-only testset: no feature vector per example),
 # and the early-decision label-cost pair (median labels/commit on the
 # non-borderline workload, early vs static — the metric tools/benchdiff
 # gates so the sequential evaluation's saving cannot silently erode).
-BENCH_PATTERN = BenchmarkBinomialCDF$$|BenchmarkExactWorstCaseSweep$$|BenchmarkExactWorstCaseGrid$$|BenchmarkAblationTightBinomial$$|BenchmarkAblationTightBinomialCold$$|BenchmarkExactColdProbesNormalSeed$$|BenchmarkExactColdProbesHoeffdingSeed$$|BenchmarkSampleSizeEstimator$$|BenchmarkPlanCacheHit$$|BenchmarkLRUContentionSingle$$|BenchmarkLRUContentionSharded$$|BenchmarkEngineCommit$$|BenchmarkCommitEval$$|BenchmarkCommitThroughput$$|BenchmarkEarlyExitLabelCost$$|BenchmarkWALAppend$$|BenchmarkWALAppendSync$$|BenchmarkWALReplay$$|BenchmarkMultiTenantThroughput$$|BenchmarkCommitIntake$$
+BENCH_PATTERN = BenchmarkBinomialCDF$$|BenchmarkExactWorstCaseSweep$$|BenchmarkExactWorstCaseGrid$$|BenchmarkAblationTightBinomial$$|BenchmarkAblationTightBinomialCold$$|BenchmarkExactColdProbesNormalSeed$$|BenchmarkExactColdProbesHoeffdingSeed$$|BenchmarkSampleSizeEstimator$$|BenchmarkPlanCacheHit$$|BenchmarkLRUContentionSingle$$|BenchmarkLRUContentionSharded$$|BenchmarkEngineCommit$$|BenchmarkCommitEval$$|BenchmarkCommitThroughput$$|BenchmarkEarlyExitLabelCost$$|BenchmarkWALAppend$$|BenchmarkWALAppendSync$$|BenchmarkWALReplay$$|BenchmarkMultiTenantThroughput$$|BenchmarkCommitIntake$$|BenchmarkRotateIntake$$
 
 .PHONY: all build test race vet bench benchdiff clean
 

@@ -892,3 +892,44 @@ func BenchmarkCommitIntake(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRotateIntake times a testset rotation of 64,000 labels (with
+// the baseline's 64,000 predictions, about 250 KB of body) through the
+// rotate handler: read, decode, the label-only testset, the engine's
+// rotation and the response. Each iteration retires the testset the last
+// one installed, so the live heap stays at one testset; B/op and
+// allocs/op show what a rotation costs.
+func BenchmarkRotateIntake(b *testing.B) {
+	labels := make([]int, 64000)
+	for i := range labels {
+		labels[i] = i % 4
+	}
+	m, err := server.NewMulti(server.Genesis{
+		Condition:   "n - o > 0.02 +/- 0.03",
+		Reliability: 0.99,
+		Mode:        interval.FPFree,
+		Adaptivity:  script.Adaptivity{Kind: script.AdaptivityFull},
+		Steps:       32,
+		Labels:      labels[:700], Classes: 4,
+		ModelName: "h0", ModelPredictions: labels[:700],
+	}, server.MultiOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer m.Close()
+	preds := make([]int, len(labels))
+	for i := range preds {
+		preds[i] = (i * 7) % 4
+	}
+	body, _ := json.Marshal(server.RotateRequest{Labels: labels, ActivePredictions: preds})
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := httptest.NewRecorder()
+		m.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/testset", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("rotate = %d: %s", rec.Code, rec.Body.String())
+		}
+	}
+}

@@ -137,6 +137,19 @@
 // one-look schedule — the static plan's full reveal in a single chunk,
 // the paper ablation cmd/experiments reports as "static".
 //
+// # Testset memory
+//
+// Every model the server evaluates is a prediction vector, so its
+// testsets are label-only (a data.Dataset with nil X): one int per
+// example, with no feature vector each. A rotation does not keep the
+// retired testset alive either; testset.Manager.Rotate hands it to its
+// caller and holds only the installed one. A long-running server that
+// rotates without end therefore holds one testset per project, and a
+// 64,000-label rotation costs a few dozen allocations instead of one per
+// example (BenchmarkRotateIntake). The snapshot format stores a server
+// testset's X as the index rows [[0],[1],…]; snapshots write them, and
+// recovery checks them and drops them.
+//
 // # Durability
 //
 // The server can run durably: started with -data-dir, every acknowledged

@@ -13,10 +13,20 @@ import (
 )
 
 // Dataset is an in-memory supervised dataset with dense feature vectors.
+//
+// A Dataset whose X is nil is label-only: it carries the ground truth of
+// a testset whose predictions arrive as positional vectors (the CI
+// server's testsets, where a commit is one prediction per example), and
+// stores one int per example instead of a heap-allocated feature vector
+// each. Positional consumers (Len, Validate, the engine, prediction-
+// vector models) treat it like any other dataset; feature consumers (the
+// learners, element-wise prediction) refuse it with an error, and Split
+// and Subset keep X nil in what they return.
 type Dataset struct {
 	// Name identifies the dataset in reports.
 	Name string
-	// X holds one feature vector per example.
+	// X holds one feature vector per example, or is nil for a label-only
+	// dataset.
 	X [][]float64
 	// Y holds the class label (0..Classes-1) per example.
 	Y []int
@@ -27,9 +37,14 @@ type Dataset struct {
 // Len returns the number of examples.
 func (d *Dataset) Len() int { return len(d.Y) }
 
-// Validate checks internal consistency.
+// LabelOnly reports whether the dataset carries labels but no feature
+// vectors.
+func (d *Dataset) LabelOnly() bool { return d.X == nil }
+
+// Validate checks internal consistency. A label-only dataset passes when
+// its labels do; a non-nil X must hold one equal-width row per label.
 func (d *Dataset) Validate() error {
-	if len(d.X) != len(d.Y) {
+	if d.X != nil && len(d.X) != len(d.Y) {
 		return fmt.Errorf("data: %d feature rows but %d labels", len(d.X), len(d.Y))
 	}
 	if d.Classes < 2 {
@@ -38,10 +53,12 @@ func (d *Dataset) Validate() error {
 	if len(d.Y) == 0 {
 		return fmt.Errorf("data: empty dataset")
 	}
-	dim := len(d.X[0])
-	for i, x := range d.X {
-		if len(x) != dim {
-			return fmt.Errorf("data: row %d has %d features, row 0 has %d", i, len(x), dim)
+	if d.X != nil {
+		dim := len(d.X[0])
+		for i, x := range d.X {
+			if len(x) != dim {
+				return fmt.Errorf("data: row %d has %d features, row 0 has %d", i, len(x), dim)
+			}
 		}
 	}
 	for i, y := range d.Y {
@@ -53,7 +70,8 @@ func (d *Dataset) Validate() error {
 }
 
 // Split partitions the dataset into a training prefix and testing suffix
-// after a deterministic shuffle with the given seed.
+// after a deterministic shuffle with the given seed. Both halves of a
+// label-only dataset are label-only.
 func (d *Dataset) Split(trainFrac float64, seed int64) (train, test *Dataset, err error) {
 	if err := d.Validate(); err != nil {
 		return nil, nil, err
@@ -69,7 +87,9 @@ func (d *Dataset) Split(trainFrac float64, seed int64) (train, test *Dataset, er
 	pick := func(ids []int) *Dataset {
 		out := &Dataset{Name: d.Name, Classes: d.Classes}
 		for _, i := range ids {
-			out.X = append(out.X, d.X[i])
+			if !d.LabelOnly() {
+				out.X = append(out.X, d.X[i])
+			}
 			out.Y = append(out.Y, d.Y[i])
 		}
 		return out
@@ -78,12 +98,16 @@ func (d *Dataset) Split(trainFrac float64, seed int64) (train, test *Dataset, er
 }
 
 // Subset returns the first n examples (used to grow training sets across
-// incremental commits).
+// incremental commits). The subset of a label-only dataset is label-only.
 func (d *Dataset) Subset(n int) (*Dataset, error) {
 	if n <= 0 || n > d.Len() {
 		return nil, fmt.Errorf("data: subset size %d out of range (len %d)", n, d.Len())
 	}
-	return &Dataset{Name: d.Name, Classes: d.Classes, X: d.X[:n], Y: d.Y[:n]}, nil
+	out := &Dataset{Name: d.Name, Classes: d.Classes, Y: d.Y[:n]}
+	if !d.LabelOnly() {
+		out.X = d.X[:n]
+	}
+	return out, nil
 }
 
 // Blobs generates a Gaussian-blob classification task: `classes` isotropic

@@ -204,9 +204,10 @@ func (e *Engine) Commit(m model.Predictor, author, message string) (Result, erro
 }
 
 // RotateTestset installs fresh data as the next-generation testset together
-// with its oracle, recomputes the baseline predictions, and returns the
-// retired testset (now releasable to the development team as a validation
-// set).
+// with its oracle and recomputes the baseline predictions. The engine keeps
+// no reference to the retired testset; a caller that releases it to the
+// development team as a validation set takes Testsets().Current() before
+// rotating.
 func (e *Engine) RotateTestset(next *data.Dataset, oracle labeling.Oracle, activeModel model.Predictor) error {
 	if oracle == nil {
 		return fmt.Errorf("engine: nil oracle")

@@ -198,11 +198,22 @@ func Restore(cfg *script.Config, st State, opts Options) (*Engine, error) {
 }
 
 // cloneDataset deep-copies the per-example slices so the snapshot stays
-// stable if a rotation later replaces the testset.
+// stable if a rotation later replaces the testset. A label-only testset
+// is written with the index rows [[0],[1],…] as its X, which the
+// snapshot format stores for every server testset (the durable server
+// checks and drops them on recovery); the rows share one backing array.
 func cloneDataset(d *data.Dataset) *data.Dataset {
 	out := &data.Dataset{Name: d.Name, Classes: d.Classes}
 	out.Y = append([]int(nil), d.Y...)
-	out.X = make([][]float64, len(d.X))
+	out.X = make([][]float64, len(d.Y))
+	if d.LabelOnly() {
+		index := make([]float64, len(d.Y))
+		for i := range index {
+			index[i] = float64(i)
+			out.X[i] = index[i : i+1 : i+1]
+		}
+		return out
+	}
 	for i, x := range d.X {
 		out.X[i] = append([]float64(nil), x...)
 	}

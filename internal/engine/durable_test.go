@@ -3,8 +3,10 @@ package engine
 import (
 	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 
+	"github.com/easeml/ci/internal/data"
 	"github.com/easeml/ci/internal/interval"
 	"github.com/easeml/ci/internal/labeling"
 	"github.com/easeml/ci/internal/notify"
@@ -245,5 +247,67 @@ func TestJournalSequenceEarly(t *testing.T) {
 	}
 	if tr.events[len(tr.events)-1] != "promote:good" {
 		t.Fatalf("journal events = %v, want trailing promote", tr.events)
+	}
+}
+
+// TestSnapshotBytesOfLabelOnlyTestset: an engine whose testsets are
+// label-only snapshots to exactly the bytes of one whose testsets carry
+// the index rows [[0],[1],…], through commits and a rotation, so making
+// a server's testsets label-only leaves its snapshot files unchanged.
+func TestSnapshotBytesOfLabelOnlyTestset(t *testing.T) {
+	labelOnly := func(n, classes int) *data.Dataset {
+		ds := indexDataset(n, classes)
+		ds.X = nil
+		return ds
+	}
+	cfg := mustConfig(t, "n - o > -0.02 +/- 0.1", 0.95, interval.FPFree,
+		script.Adaptivity{Kind: script.AdaptivityFull}, 4)
+	snapshots := func(build func(n, classes int) *data.Dataset) []string {
+		ds := build(400, 4)
+		eng, err := New(cfg, ds, labeling.NewTruthOracle(ds.Y), Options{
+			InitialModel: simModel(t, "h0", ds, 0.6, 1),
+			Notifier:     notify.Discard{},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		snap := func() {
+			b, err := json.Marshal(eng.Snapshot())
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, string(b))
+		}
+		snap()
+		for i := 0; i < 3; i++ {
+			if _, err := eng.Commit(simModel(t, fmt.Sprintf("m%d", i), ds, 0.6+0.05*float64(i), int64(i+2)), "dev", "msg"); err != nil {
+				t.Fatal(err)
+			}
+			snap()
+		}
+		next := build(500, 4)
+		if err := eng.RotateTestset(next, labeling.NewTruthOracle(next.Y), simModel(t, "carry", next, 0.7, 9)); err != nil {
+			t.Fatal(err)
+		}
+		snap()
+		if _, err := eng.Commit(simModel(t, "m3", next, 0.75, 10), "dev", "msg"); err != nil {
+			t.Fatal(err)
+		}
+		snap()
+		return out
+	}
+	want := snapshots(indexDataset)
+	got := snapshots(labelOnly)
+	if len(got) != len(want) {
+		t.Fatalf("%d snapshots, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("snapshot %d of the label-only engine differs from the index-featured one", i)
+		}
+	}
+	if !strings.Contains(want[0], `"X":[[0],[1],[2],`) {
+		t.Fatalf("snapshot does not carry the index rows: %.200s", want[0])
 	}
 }

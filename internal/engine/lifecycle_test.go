@@ -7,6 +7,7 @@ import (
 	"github.com/easeml/ci/internal/labeling"
 	"github.com/easeml/ci/internal/notify"
 	"github.com/easeml/ci/internal/script"
+	"github.com/easeml/ci/internal/testset"
 )
 
 // TestEngineMultiGenerationLifecycle drives the engine across three testset
@@ -31,6 +32,7 @@ func TestEngineMultiGenerationLifecycle(t *testing.T) {
 	}
 
 	totalCommits := 0
+	var released []*testset.Testset
 	for generation := 1; generation <= 3; generation++ {
 		for step := 1; step <= 2; step++ {
 			acc := 0.9
@@ -52,6 +54,7 @@ func TestEngineMultiGenerationLifecycle(t *testing.T) {
 		}
 		if generation < 3 {
 			next := indexDataset(600, 4)
+			released = append(released, eng.Testsets().Current())
 			if err := eng.RotateTestset(next, labeling.NewTruthOracle(next.Y), simModel(t, "carry", next, 0.9, int64(generation))); err != nil {
 				t.Fatal(err)
 			}
@@ -66,10 +69,10 @@ func TestEngineMultiGenerationLifecycle(t *testing.T) {
 		t.Errorf("history = %d, want %d", len(eng.History()), totalCommits)
 	}
 	// Two rotations happened; two retired testsets were released.
-	if got := len(eng.Testsets().Released()); got != 2 {
+	if got := len(released); got != 2 {
 		t.Errorf("released testsets = %d, want 2", got)
 	}
-	for i, ts := range eng.Testsets().Released() {
+	for i, ts := range released {
 		if ts.Generation != i+1 {
 			t.Errorf("released[%d].Generation = %d", i, ts.Generation)
 		}

@@ -8,6 +8,18 @@ import (
 	"github.com/easeml/ci/internal/data"
 )
 
+// validateFeatured is Validate plus the refusal of a label-only dataset,
+// which a learner has no features to train on.
+func validateFeatured(ds *data.Dataset) error {
+	if err := ds.Validate(); err != nil {
+		return err
+	}
+	if ds.LabelOnly() {
+		return fmt.Errorf("model: cannot train on dataset %q: it is label-only", ds.Name)
+	}
+	return nil
+}
+
 // NaiveBayes is a multinomial naive Bayes classifier with Laplace
 // smoothing, suited to bag-of-words count features (the emotion corpus).
 type NaiveBayes struct {
@@ -18,7 +30,7 @@ type NaiveBayes struct {
 
 // TrainNaiveBayes fits the classifier on count-valued features.
 func TrainNaiveBayes(name string, ds *data.Dataset, smoothing float64) (*NaiveBayes, error) {
-	if err := ds.Validate(); err != nil {
+	if err := validateFeatured(ds); err != nil {
 		return nil, err
 	}
 	if smoothing <= 0 {
@@ -94,7 +106,7 @@ type SoftmaxConfig struct {
 
 // TrainSoftmax fits the model.
 func TrainSoftmax(name string, ds *data.Dataset, cfg SoftmaxConfig) (*SoftmaxRegression, error) {
-	if err := ds.Validate(); err != nil {
+	if err := validateFeatured(ds); err != nil {
 		return nil, err
 	}
 	if cfg.Epochs < 1 || cfg.LearnRate <= 0 || cfg.L2 < 0 {
@@ -187,7 +199,7 @@ type Perceptron struct {
 
 // TrainPerceptron fits an averaged perceptron for the given epochs.
 func TrainPerceptron(name string, ds *data.Dataset, epochs int, seed int64) (*Perceptron, error) {
-	if err := ds.Validate(); err != nil {
+	if err := validateFeatured(ds); err != nil {
 		return nil, err
 	}
 	if epochs < 1 {

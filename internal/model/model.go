@@ -62,7 +62,8 @@ func PredictAll(p Predictor, ds *data.Dataset) ([]int, error) {
 // one buffer instead of allocating ds.Len() ints per commit. The (possibly
 // re-sliced) buffer is returned. It assumes ds has already been validated
 // — the engine's testsets are validated once at installation, not per
-// commit; external callers should use PredictAll.
+// commit; external callers should use PredictAll. A label-only dataset
+// works only with a BulkPredictor; any other predictor gets an error.
 func PredictAllInto(p Predictor, ds *data.Dataset, buf []int) ([]int, error) {
 	if p == nil {
 		return nil, fmt.Errorf("model: nil predictor")
@@ -79,6 +80,12 @@ func PredictAllInto(p Predictor, ds *data.Dataset, buf []int) ([]int, error) {
 			return nil, err
 		}
 		return out, nil
+	}
+	if ds.LabelOnly() {
+		// A label-only dataset has no feature vectors to hand to Predict;
+		// the loop below would leave every entry zero.
+		return nil, fmt.Errorf("model: %s predicts from feature vectors, but dataset %q is label-only",
+			p.Name(), ds.Name)
 	}
 	for i, x := range ds.X {
 		y := p.Predict(x)

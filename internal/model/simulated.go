@@ -166,10 +166,13 @@ func SimulatedPair(labels []int, classes int, accOld, accNew, disagree float64, 
 }
 
 // FixedPredictions wraps a precomputed prediction vector as a Predictor
-// keyed by example index. The feature vector's first component is the
-// example index; this is how simulated models plug into the engine, which
-// otherwise works with real feature-based predictors. The wrapped slice
-// must not be mutated after construction (the range scan is cached).
+// keyed by example index; this is how simulated models and the CI
+// server's commits plug into the engine. Its bulk paths (StaticPredictions
+// and PredictAllInto) are positional: prediction i belongs to example i,
+// no feature vector is read, and so they work on label-only datasets.
+// Only element-wise Predict needs features, and it reads the example
+// index from x[0] (datasets whose row i is [i]). The wrapped slice must
+// not be mutated after construction (the range scan is cached).
 type FixedPredictions struct {
 	name  string
 	preds []int

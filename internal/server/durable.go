@@ -180,8 +180,8 @@ type Genesis struct {
 	Mode        interval.Mode
 	Adaptivity  script.Adaptivity
 	Steps       int
-	// Labels and Classes define the first testset (features are the
-	// example indices, matching the rotation endpoint's convention).
+	// Labels and Classes define the first testset, which is label-only
+	// like every testset the server installs.
 	Labels  []int
 	Classes int
 	// ModelName and ModelPredictions are H0, the deployed baseline.
@@ -228,21 +228,48 @@ func (g Genesis) genesisRecord() recGenesis {
 	}
 }
 
-// datasetFromLabels builds the index-featured dataset the HTTP surface
-// trades in: example i has feature vector [i] and label labels[i].
+// datasetFromLabels builds the label-only dataset the HTTP surface trades
+// in: example i has label labels[i] and no feature vector, since every
+// model the server evaluates is a positional prediction vector. The
+// labels are copied, so the dataset shares nothing with the request.
 func datasetFromLabels(name string, labels []int, classes int) (*data.Dataset, error) {
-	ds := &data.Dataset{Name: name, Classes: classes}
-	for i, y := range labels {
-		if y < 0 || y >= classes {
-			return nil, fmt.Errorf("label %d out of range at %d", y, i)
-		}
-		ds.X = append(ds.X, []float64{float64(i)})
-		ds.Y = append(ds.Y, y)
-	}
-	if err := ds.Validate(); err != nil {
+	if err := checkLabels(labels, classes); err != nil {
 		return nil, err
 	}
-	return ds, nil
+	return &data.Dataset{Name: name, Y: append([]int(nil), labels...), Classes: classes}, nil
+}
+
+// checkLabels refuses what datasetFromLabels refuses, with the same
+// errors, without building the dataset.
+func checkLabels(labels []int, classes int) error {
+	for i, y := range labels {
+		if y < 0 || y >= classes {
+			return fmt.Errorf("label %d out of range at %d", y, i)
+		}
+	}
+	return (&data.Dataset{Y: labels, Classes: classes}).Validate()
+}
+
+// dropIndexRows makes a snapshot's testset label-only, as the live
+// server's testsets are. The only features a snapshot of this server
+// holds are the index rows [[0],[1],…] engine.Snapshot writes for a
+// label-only testset; any other X means the snapshot is not one of ours,
+// and it is refused as corrupt. A nil testset is left for engine.Restore
+// to refuse.
+func dropIndexRows(ds *data.Dataset) error {
+	if ds == nil {
+		return nil
+	}
+	if len(ds.X) != len(ds.Y) {
+		return fmt.Errorf("corrupt testset: %d feature rows for %d labels", len(ds.X), len(ds.Y))
+	}
+	for i, x := range ds.X {
+		if len(x) != 1 || x[0] != float64(i) {
+			return fmt.Errorf("corrupt testset: row %d is %v, want the index row [%d]", i, x, i)
+		}
+	}
+	ds.X = nil
+	return nil
 }
 
 // NewDurable builds a server whose state survives crashes: every
@@ -388,6 +415,9 @@ func recoverDurable(cfg *script.Config, g Genesis, opts Options, snap *wal.Snaps
 		}
 		if ws.Genesis != d.fp {
 			return nil, fmt.Errorf("snapshot: config fingerprint %q does not match the supplied genesis %q — the data directory was created under a different configuration (condition, reliability, adaptivity, steps, or testset); point the server at a fresh data directory or restore the original flags", ws.Genesis, d.fp)
+		}
+		if err := dropIndexRows(ws.Engine.Testset); err != nil {
+			return nil, fmt.Errorf("snapshot: %w", err)
 		}
 		var err error
 		eng, err = engine.Restore(cfg, ws.Engine, engine.Options{Notifier: notify.Discard{}, EarlyDecision: opts.EarlyDecision})

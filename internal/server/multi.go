@@ -191,7 +191,7 @@ func (sp ProjectSpec) genesis() (Genesis, error) {
 	if len(g.ModelPredictions) != len(g.Labels) {
 		return Genesis{}, fmt.Errorf("%d model predictions for %d labels", len(g.ModelPredictions), len(g.Labels))
 	}
-	if _, err := datasetFromLabels("genesis", g.Labels, g.Classes); err != nil {
+	if err := checkLabels(g.Labels, g.Classes); err != nil {
 		return Genesis{}, err
 	}
 	return g, nil

@@ -3,11 +3,16 @@
 // H evaluations, its statistical power is consumed commit by commit, the
 // "new testset alarm" fires when it can no longer support the next model,
 // and the retired testset is released to the development team as a
-// validation set.
+// validation set. The release is the return value of Manager.Rotate: the
+// manager itself holds only the installed testset, so a long-running
+// server that rotates without end keeps one testset alive, not all of
+// them. A testset's data may be label-only (see data.Dataset); nothing
+// here reads feature vectors.
 package testset
 
 import (
 	"fmt"
+	"math/bits"
 
 	"github.com/easeml/ci/internal/adaptivity"
 	"github.com/easeml/ci/internal/data"
@@ -21,7 +26,8 @@ import (
 type Testset struct {
 	// Generation numbers testsets from 1 as they rotate in.
 	Generation int
-	// Data holds features and ground-truth labels.
+	// Data holds the ground-truth labels, and features unless it is
+	// label-only.
 	Data *data.Dataset
 	// revealed marks examples whose labels were already paid for, packed
 	// 64 examples per word so the measurement core can mask and popcount
@@ -70,9 +76,9 @@ func Restore(generation int, ds *data.Dataset, revealed []int) (*Testset, error)
 // order — the snapshot-friendly form of the revealed bitmap.
 func (t *Testset) RevealedIndices() []int {
 	out := make([]int, 0, t.revealedCount)
-	for i := 0; i < t.Len(); i++ {
-		if t.revealed.Get(i) {
-			out = append(out, i)
+	for w, word := range t.revealed.Words() {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, w<<6|bits.TrailingZeros64(word))
 		}
 	}
 	return out
@@ -121,12 +127,7 @@ func (t *Testset) RevealFirst(limit int, o labeling.BatchOracle) ([]int, error) 
 	if limit > missing {
 		limit = missing
 	}
-	idx := make([]int, 0, limit)
-	for i := 0; i < t.Len() && len(idx) < limit; i++ {
-		if !t.revealed.Get(i) {
-			idx = append(idx, i)
-		}
-	}
+	idx := t.unrevealed(nil, limit)
 	if _, err := t.revealBatch(idx, o); err != nil {
 		return nil, err
 	}
@@ -151,16 +152,40 @@ func (t *Testset) RevealChunk(want evaluator.Bitmap, limit int, o labeling.Batch
 	if limit <= 0 || limit > missing {
 		limit = missing
 	}
-	idx := make([]int, 0, limit)
-	for i := 0; i < t.Len() && len(idx) < limit; i++ {
-		if want.Get(i) && !t.revealed.Get(i) {
-			idx = append(idx, i)
-		}
-	}
+	idx := t.unrevealed(want.Words(), limit)
 	if _, err := t.revealBatch(idx, o); err != nil {
 		return nil, err
 	}
 	return idx, nil
+}
+
+// unrevealed returns, in ascending order, the first limit (> 0) indices
+// that are not revealed and, when want is non-nil, whose bit is set in
+// want's words. It scans 64 examples per word, skipping whole words with
+// nothing to reveal.
+func (t *Testset) unrevealed(want []uint64, limit int) []int {
+	idx := make([]int, 0, limit)
+	rev := t.revealed.Words()
+	for w, r := range rev {
+		var free uint64
+		if want != nil {
+			free = want[w] &^ r
+		} else {
+			free = ^r
+		}
+		if w == len(rev)-1 && t.Len()&63 != 0 {
+			// The bits past the last example are zero in every bitmap, so
+			// ^r sets them; they are no examples.
+			free &= 1<<uint(t.Len()&63) - 1
+		}
+		for ; free != 0; free &= free - 1 {
+			if len(idx) == limit {
+				return idx
+			}
+			idx = append(idx, w<<6|bits.TrailingZeros64(free))
+		}
+	}
+	return idx
 }
 
 // Unreveal clears the revealed mark of the given examples (already-
@@ -222,9 +247,6 @@ type Manager struct {
 	budget  int
 	ledger  *adaptivity.Ledger
 	current *Testset
-	// released accumulates retired testsets; the user may hand them to the
-	// development team as validation data (Section 2.3).
-	released []*Testset
 }
 
 // NewManager installs the first testset with the given adaptivity mode and
@@ -242,9 +264,9 @@ func NewManager(kind adaptivity.Kind, budget int, first *data.Dataset) (*Manager
 }
 
 // RestoreManager rebuilds a manager around a recovered testset and
-// ledger position, for crash recovery from a durable log. Retired
-// testsets released before the snapshot are not reconstructed — their
-// statistical role ended when they were released.
+// ledger position, for crash recovery from a durable log. Like a live
+// manager it holds no retired testset: their statistical role ended when
+// Rotate released them.
 func RestoreManager(kind adaptivity.Kind, budget int, current *Testset, used int, retired bool) (*Manager, error) {
 	if current == nil {
 		return nil, fmt.Errorf("testset: nil restored testset")
@@ -283,18 +305,16 @@ func (m *Manager) Record(pass bool) (adaptivity.Event, error) {
 }
 
 // Rotate installs a fresh dataset as the next-generation testset and
-// returns the retired testset (now releasable to the developer).
+// returns the retired testset, now releasable to the developer as a
+// validation set. The manager keeps no reference to it: a caller that
+// wants to release it must keep the returned value.
 func (m *Manager) Rotate(next *data.Dataset) (*Testset, error) {
 	ts, err := New(m.current.Generation+1, next)
 	if err != nil {
 		return nil, err
 	}
 	retired := m.current
-	m.released = append(m.released, retired)
 	m.current = ts
 	m.ledger.Reset()
 	return retired, nil
 }
-
-// Released returns the retired testsets, oldest first.
-func (m *Manager) Released() []*Testset { return m.released }
